@@ -14,6 +14,14 @@
 // the engines are checked against each other — a scaled-up twin of the
 // test_parallel_incremental differential suite.
 //
+// A same-run gate rides along at every scale: at n = 30000 (4 workers,
+// critical-path, Belady, M = 1.1 * LB) the unlimited backfill scan
+// (depth 0) must run within 2x of the bounded one (depth 8). Before the
+// rank-indexed ready set, depth 0 popped and re-pushed every failed
+// candidate and ran ~100x slower; the work counters (failed_starts,
+// backfill_scans) still count every logical examination, so the gate is a
+// time ratio measured in one process, not a counter bound.
+//
 // Scales: --scale quick (CI smoke) | default | paper (500..10000 nodes).
 #include <algorithm>
 #include <cstdio>
@@ -223,6 +231,45 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The depth gate: best of three timings per depth on one n = 30000 tree.
+  struct DepthRun {
+    int depth;
+    double seconds;
+    ParallelResult result;
+  };
+  std::vector<DepthRun> depth_runs;
+  {
+    constexpr std::size_t kGateN = 30000;
+    util::Rng rng(770001u + 1000003u * static_cast<std::uint64_t>(kGateN));
+    const Tree t = treegen::synth_instance(kGateN, 1, 100, rng);
+    const Weight lb = t.min_feasible_memory();
+    ParallelConfig config;
+    config.workers = 4;
+    config.memory = std::max(lb, static_cast<Weight>(static_cast<double>(lb) * 1.1));
+    config.priority = Priority::kCriticalPath;
+    for (const int depth : {0, 8}) {
+      config.backfill_depth = depth;
+      DepthRun run{depth, 0.0, {}};
+      for (int k = 0; k < 3; ++k) {
+        util::Stopwatch sw;
+        run.result = parallel::simulate_parallel(t, config);
+        const double seconds = sw.seconds();
+        run.seconds = k == 0 ? seconds : std::min(run.seconds, seconds);
+      }
+      depth_runs.push_back(run);
+    }
+  }
+  const double depth_ratio =
+      depth_runs[1].seconds > 0.0 ? depth_runs[0].seconds / depth_runs[1].seconds : 0.0;
+  const bool depth_pass = depth_ratio > 0.0 && depth_ratio <= 2.0;
+  std::printf("\n%-7s %-3s %-17s %-6s %12s %14s %14s %14s\n", "n", "p", "priority", "depth",
+              "inc (s)", "io", "failed", "scans");
+  for (const DepthRun& run : depth_runs)
+    std::printf("%-7d %-3d %-17s %-6d %12.4f %14lld %14lld %14lld\n", 30000, 4, "critical-path",
+                run.depth, run.seconds, static_cast<long long>(run.result.io_volume),
+                static_cast<long long>(run.result.failed_starts),
+                static_cast<long long>(run.result.backfill_scans));
+
   // The acceptance configuration of the indexed-engine PR.
   const Aggregate* acceptance = nullptr;
   for (const Aggregate& a : aggregates)
@@ -262,11 +309,21 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "  \"acceptance\": {\"n\": 3000, \"workers\": 4, \"priority\": "
                  "\"critical-path\", \"policy\": \"Belady\", \"ratio\": 1.10, "
-                 "\"speedup\": %.2f, \"threshold\": 5.0, \"pass\": %s}\n",
+                 "\"speedup\": %.2f, \"threshold\": 5.0, \"pass\": %s},\n",
                  acceptance->speedup(), acceptance->speedup() >= 5.0 ? "true" : "false");
   } else {
-    std::fprintf(json, "  \"acceptance\": null\n");
+    std::fprintf(json, "  \"acceptance\": null,\n");
   }
+  std::fprintf(json,
+               "  \"depth_gate\": {\"n\": 30000, \"workers\": 4, \"priority\": "
+               "\"critical-path\", \"policy\": \"Belady\", \"ratio\": 1.10, "
+               "\"depth0_seconds\": %.6f, \"depth8_seconds\": %.6f, "
+               "\"depth0_failed_starts\": %lld, \"depth8_failed_starts\": %lld, "
+               "\"depth0_over_depth8\": %.3f, \"threshold\": 2.0, \"pass\": %s}\n",
+               depth_runs[0].seconds, depth_runs[1].seconds,
+               static_cast<long long>(depth_runs[0].result.failed_starts),
+               static_cast<long long>(depth_runs[1].result.failed_starts), depth_ratio,
+               depth_pass ? "true" : "false");
   std::fprintf(json, "}\n");
   std::fclose(json);
 
@@ -275,6 +332,9 @@ int main(int argc, char** argv) {
                 "%.1fx speedup (threshold 5x) — %s\n",
                 acceptance->speedup(), acceptance->speedup() >= 5.0 ? "PASS" : "FAIL");
   }
+  std::printf("depth gate (n=30000, 4 workers, critical-path, Belady, M=1.1*LB): depth 0 / "
+              "depth 8 = %.2f (threshold 2.0) — %s\n",
+              depth_ratio, depth_pass ? "PASS" : "FAIL");
   std::printf("results written to bench_parallel_scaling.csv and bench_parallel_scaling.json\n");
   std::printf("(to refresh the committed baseline: cp bench_parallel_scaling.json "
               "<repo>/BENCH_parallel.json)\n");

@@ -85,7 +85,8 @@ inline std::atomic<int> pager{0};
 /// pending writes overflow write_queue_depth slots; 8 = prefetch sizes its
 /// read from the datum's full page count, re-fetching pages that are
 /// already resident; 16 = a disk transfer completes earlier than the
-/// serial device timeline allows (double-booked bandwidth).
+/// serial device timeline allows (double-booked bandwidth). 32 =
+/// parallel::ReadyIndex::erase() leaves a block's minimum weight stale.
 inline std::atomic<int> parallel_engine{0};
 }  // namespace fault
 

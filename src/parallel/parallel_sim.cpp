@@ -1,13 +1,16 @@
 #include "src/parallel/parallel_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 
 #include "src/core/check.hpp"
 #include "src/core/minmem_postorder.hpp"
 #include "src/iosim/pager.hpp"
+#include "src/parallel/ready_index.hpp"
 #include "src/util/rng.hpp"
 
 namespace ooctree::parallel {
@@ -44,8 +47,10 @@ Prepared prepare(const Tree& tree, const ParallelConfig& config, const Schedule&
   if (config.workers < 1) throw std::invalid_argument("simulate_parallel: need >= 1 worker");
   if (config.backfill_depth < 0)
     throw std::invalid_argument("simulate_parallel: backfill_depth must be >= 0");
-  if (!(config.reserve_penalty >= 0.0))  // negated: rejects NaN too
-    throw std::invalid_argument("simulate_parallel: reserve_penalty must be >= 0");
+  // An infinite penalty times a zero factor makes a NaN priority key,
+  // which has no place in the rank order: finite values only.
+  if (!(config.reserve_penalty >= 0.0) || !std::isfinite(config.reserve_penalty))
+    throw std::invalid_argument("simulate_parallel: reserve_penalty must be finite and >= 0");
   if (config.write_queue_depth < 0)
     throw std::invalid_argument("simulate_parallel: write_queue_depth must be >= 0");
   if (config.prefetch_window < 0)
@@ -192,20 +197,26 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
   for (std::size_t i = 0; i < tree.size(); ++i)
     missing_children[i] = tree.num_children(static_cast<NodeId>(i));
 
-  // Ready tasks as a max-heap ordered by priority (then reference position
-  // for ties) — no vector::erase on the hot path.
-  struct Ready {
-    double key;
-    std::size_t ref_pos;
-    NodeId id;
-    bool operator<(const Ready& o) const {  // "less ready"
-      return key != o.key ? key < o.key : ref_pos > o.ref_pos;
-    }
-  };
-  std::priority_queue<Ready> ready;
+  // Ready tasks as a rank-indexed set (ready_index.hpp). Priority keys are
+  // static, so every node gets one rank — priority descending, then
+  // reference position — and the best-priority ready task that fits is a
+  // first_fit query over ranks, weighted by work_frames.
+  std::vector<NodeId> node_at(tree.size());  // rank -> node
+  std::iota(node_at.begin(), node_at.end(), NodeId{0});
+  std::sort(node_at.begin(), node_at.end(), [&](NodeId a, NodeId b) {
+    const double ka = priority_key[idx(a)];
+    const double kb = priority_key[idx(b)];
+    return ka != kb ? ka > kb : ref_pos[idx(a)] < ref_pos[idx(b)];
+  });
+  std::vector<std::uint32_t> rank_of(tree.size());  // node -> rank
+  std::vector<Weight> weight_by_rank(tree.size());
+  for (std::size_t r = 0; r < tree.size(); ++r) {
+    rank_of[idx(node_at[r])] = static_cast<std::uint32_t>(r);
+    weight_by_rank[r] = work_frames[idx(node_at[r])];
+  }
+  ReadyIndex ready(std::move(weight_by_rank));
   for (std::size_t i = 0; i < tree.size(); ++i)
-    if (missing_children[i] == 0)
-      ready.push(Ready{priority_key[i], ref_pos[i], static_cast<NodeId>(i)});
+    if (missing_children[i] == 0) ready.insert(rank_of[i]);
 
   // Running tasks as (finish_time, node) events.
   using Event = std::pair<double, NodeId>;
@@ -319,6 +330,7 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
     core::audit_check(frames_used <= frames,
                       "simulate_parallel_paged: frames_used exceeds the frame count");
     index.audit();
+    ready.audit();
   };
 #endif
 
@@ -508,52 +520,70 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
   };
 
   // Backfill contract: with backfill on, each free worker slot examines at
-  // most `depth` ready tasks (0 = the whole heap) before the round gives
-  // up; backfill off is exactly depth 1 (strict priority). Starts within a
-  // round only grow running_frames, so a task that failed the fit check
-  // cannot fit later in the same round — failures go to `deferred` and
-  // return to the heap only when a completion frees memory.
+  // most `depth` ready tasks in rank order (0 = all of them) before the
+  // round gives up; backfill off is exactly depth 1 (strict priority).
+  // Starts within a round only grow running_frames, so a task that failed
+  // the fit check cannot fit later in the same round — it stays failed
+  // until a completion frees memory.
   const int depth = base.backfill ? base.backfill_depth : 1;
   const bool residency = base.residency_aware && config.disk.has_value();
   std::size_t completed = 0;
-  std::vector<Ready> deferred;
-  std::vector<Ready> window;            // residency scan: fitting candidates
+  std::vector<std::size_t> deferred;    // residency scan: failed ranks
+  std::vector<std::size_t> window;      // residency scan: fitting ranks
   std::vector<std::int64_t> window_at;  // examined index of each window entry
-  std::vector<Ready> peek;              // prefetch scan: look-ahead candidates
   std::vector<NodeId> pinned;           // prefetch scan: marked window children
-  std::vector<Ready> cands;             // prefetch scan: candidates in scan order
+  std::vector<std::size_t> cands;       // prefetch scan: candidate ranks in scan order
   std::vector<NodeId> predicted;        // prefetch scan: predicted next starts
   std::vector<char> taken;              // prefetch scan: candidates already predicted
   std::vector<std::pair<NodeId, int>> sim_dec;  // prefetch scan: replayed completions
   while (completed < tree.size()) {
-    deferred.clear();
     if (!residency) {
-      // Start ready tasks in priority order: the first fitting task of the
-      // (depth-bounded) scan is the best-priority fitting one.
-      std::int64_t examined = 0;  // candidates looked at since the last start
-      while (idle > 0 && !ready.empty()) {
-        const Ready r = ready.top();
-        ready.pop();
-        ++examined;
-        if (try_start(r.id)) {
-          result.backfill_scans += examined - 1;
-          if (examined > 1) ++result.backfill_hits;
-          examined = 0;
-          continue;
+      // Start ready tasks in rank order. Failed tasks stay in the set and
+      // the scan resumes past them at `cursor`, so each start is one
+      // first_fit: the best-priority task that fits the slack. The ranks it
+      // skips are exactly the candidates a one-at-a-time scan would have
+      // examined and failed, so count() reproduces failed_starts,
+      // backfill_scans and backfill_hits — including the depth stop, which
+      // ends the round after `depth` failures.
+      std::size_t cursor = 0;
+      while (idle > 0) {
+        const std::size_t head = ready.next(cursor);
+        if (head == ready.end()) break;
+        const std::size_t hit = ready.first_fit(head, frames - running_frames);
+        const auto skipped = static_cast<std::int64_t>(ready.count(head, hit));
+        const bool gave_up = depth > 0 && skipped >= depth;
+        const std::int64_t failed = gave_up ? depth : skipped;
+#if OOCTREE_AUDIT_ENABLED
+        // Re-check every bulk-skipped candidate the way the one-at-a-time
+        // scan did: each must fail the (mutation-free) fit check.
+        std::size_t r = head;
+        for (std::int64_t k = 0; k < failed; ++k, r = ready.next(r + 1))
+          core::audit_check(!fits(node_at[r]),
+                            "simulate_parallel_paged: first_fit skipped a fitting task");
+#endif
+        result.failed_starts += failed;
+        if (gave_up || hit == ready.end()) {
+          result.backfill_scans += failed - 1;  // failed >= 1: the head was examined
+          break;
         }
-        ++result.failed_starts;
-        deferred.push_back(r);
-        if (depth > 0 && examined >= depth) break;
+        ready.erase(hit);
+        if (!try_start(node_at[hit]))
+          throw std::logic_error("simulate_parallel_paged: start failed after first_fit");
+        result.backfill_scans += skipped;
+        if (skipped > 0) ++result.backfill_hits;
+        cursor = hit + 1;
       }
-      if (examined > 0) result.backfill_scans += examined - 1;
     } else {
       // Residency-aware slot scan: collect the fitting tasks of the backfill
       // window and start the one with the fewest child pages to read back
       // (ties: best priority, i.e. scan order). A fully resident candidate
-      // ends the scan — nothing can beat zero missing pages. Fitting tasks
-      // that lose the tie return to the heap without counting as failures;
-      // when reads cost nothing the rule never fires (missing pages are
-      // free), and the gate above keeps the free-read engines bit-identical.
+      // ends the scan — nothing can beat zero missing pages. Scanned tasks
+      // leave the set: failures until the round ends, fitting tasks that
+      // lose the tie until the next slot scan (without counting as
+      // failures). When reads cost nothing the rule never fires (missing
+      // pages are free), and the gate above keeps the free-read engines
+      // bit-identical.
+      deferred.clear();
       while (idle > 0 && !ready.empty()) {
         window.clear();
         window_at.clear();
@@ -561,16 +591,16 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
         Weight best_missing = -1;
         std::int64_t examined = 0;
         while (!ready.empty() && (depth == 0 || examined < depth)) {
-          const Ready r = ready.top();
-          ready.pop();
+          const std::size_t r = ready.next(0);
+          ready.erase(r);
           ++examined;
-          if (!fits(r.id)) {
+          if (!fits(node_at[r])) {
             ++result.failed_starts;
             deferred.push_back(r);
             continue;
           }
           Weight missing = 0;
-          for (const NodeId c : tree.children(r.id)) {
+          for (const NodeId c : tree.children(node_at[r])) {
             missing += total_pages[idx(c)] - resident[idx(c)];
 #if OOCTREE_AUDIT_ENABLED
             // A live output with resident pages is exactly an EvictionIndex
@@ -591,17 +621,17 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
         if (examined > 0) result.backfill_scans += examined - 1;
         if (window.empty()) break;  // nothing in the window fits: round over
         for (std::size_t k = 0; k < window.size(); ++k)
-          if (k != best) ready.push(window[k]);
-        if (!try_start(window[best].id))
+          if (k != best) ready.insert(window[k]);
+        if (!try_start(node_at[window[best]]))
           throw std::logic_error(
               "simulate_parallel_paged: residency start failed after a passing fit check");
         if (window_at[best] != 1) ++result.backfill_hits;
       }
+      for (const std::size_t r : deferred) ready.insert(r);
     }
-    for (const Ready& r : deferred) ready.push(r);
 
     if (prefetching && !running.empty()) {
-      // Look-ahead prefetch: peek the top prefetch_window ready tasks —
+      // Look-ahead prefetch: take the best prefetch_window ready tasks —
       // the next starts in priority order — and stage their evicted child
       // pages back in before the consuming start, overlapping the reads
       // with the compute currently running. Staging may evict through the
@@ -618,7 +648,7 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
       // (the top ready tasks usually fail the fit check and backfill
       // starts deeper candidates — failed_starts dwarfs starts; worse,
       // most reads happen at parents that only become ready at an
-      // upcoming completion, so they are not even in the heap yet). The
+      // upcoming completion, so they are not even ready yet). The
       // staging target list therefore replays the scheduler's own rule
       // against the known future: completions free worker reservations in
       // finish order (the running heap is visible), each one may activate
@@ -626,15 +656,13 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
       // the first ready task of the backfill window whose reservation
       // fits — all deterministic from here. The first predicted start is
       // exact; later ones degrade gracefully.
-      peek.clear();
-      const int scan_cap =
-          base.prefetch_window + (depth > 0 ? static_cast<int>(depth) : 16);
-      for (int k = 0; k < scan_cap && !ready.empty(); ++k) {
-        peek.push_back(ready.top());
-        ready.pop();
-      }
+      const auto scan_cap =
+          static_cast<std::size_t>(base.prefetch_window + (depth > 0 ? depth : 16));
+      cands.clear();  // rank order == scan order
+      for (std::size_t r = ready.next(0); r != ready.end() && cands.size() < scan_cap;
+           r = ready.next(r + 1))
+        cands.push_back(r);
       predicted.clear();
-      cands.assign(peek.begin(), peek.end());  // pop order == scan order
       taken.assign(cands.size(), 0);
       sim_dec.clear();
       {
@@ -660,11 +688,10 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
             if (static_cast<std::size_t>(seen) == missing_children[idx(par)]) {
               // The parent becomes ready at this completion: merge it into
               // the candidate list at its scan position.
-              const Ready activated{priority_key[idx(par)], ref_pos[idx(par)], par};
-              std::size_t pos = 0;
-              while (pos < cands.size() && !(cands[pos] < activated)) ++pos;
-              cands.insert(cands.begin() + static_cast<std::ptrdiff_t>(pos), activated);
-              taken.insert(taken.begin() + static_cast<std::ptrdiff_t>(pos), 0);
+              const auto at = std::lower_bound(cands.begin(), cands.end(),
+                                               std::size_t{rank_of[idx(par)]});
+              taken.insert(taken.begin() + (at - cands.begin()), 0);
+              cands.insert(at, rank_of[idx(par)]);
             }
           }
           // One scheduling round after this completion: priority order,
@@ -676,11 +703,12 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
                ++k2) {
             if (taken[k2]) continue;
             ++examined;
-            if (run_frames_pred + work_frames[idx(cands[k2].id)] <= frames) {
+            const NodeId cand = node_at[cands[k2]];
+            if (run_frames_pred + work_frames[idx(cand)] <= frames) {
               taken[k2] = 1;
-              predicted.push_back(cands[k2].id);
-              run_frames_pred += work_frames[idx(cands[k2].id)];
-              run_copy.emplace(done_at + task_cost(tree, cands[k2].id, base.cost), cands[k2].id);
+              predicted.push_back(cand);
+              run_frames_pred += work_frames[idx(cand)];
+              run_copy.emplace(done_at + task_cost(tree, cand, base.cost), cand);
               --idle_pred;
               examined = 0;
             } else if (depth > 0 && examined >= depth) {
@@ -759,7 +787,6 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
         }
       }
       for (const NodeId c : pinned) prefetch_pinned[idx(c)] = 0;
-      for (const Ready& r : peek) ready.push(r);
     }
 
     if (running.empty()) {
@@ -800,7 +827,7 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
 
     const NodeId parent = tree.parent(node);
     if (parent != kNoNode && --missing_children[idx(parent)] == 0)
-      ready.push(Ready{priority_key[idx(parent)], ref_pos[idx(parent)], parent});
+      ready.insert(rank_of[idx(parent)]);
 
 #if OOCTREE_AUDIT_ENABLED
     audit_state();

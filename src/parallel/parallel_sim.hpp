@@ -33,8 +33,14 @@
 //     exceeds its page-rounded size (the invariant iosim::run_pager
 //     guarantees, now shared by the parallel engine);
 //   * indexed eviction — victims come from core::EvictionIndex in
-//     O(log n), never from a scan of all n nodes; overall the engine is
-//     O((n + evictions) log n) per simulation.
+//     O(log n), never from a scan of all n nodes;
+//   * indexed ready set — nodes are ranked once by priority and the ready
+//     tasks live in a ReadyIndex (ready_index.hpp): each start is one
+//     O(log n) first-fit query over ranks, and the candidates it skips are
+//     counted, not popped and re-pushed. The default slot scan is therefore
+//     O((n + evictions) log n) per simulation at every backfill depth;
+//     the residency-aware scan still examines (and parks) candidates one at
+//     a time, O(failures * log n).
 // Under OOCTREE_AUDIT builds (the dev preset) the engine re-checks these
 // invariants at runtime after every completion event — reservation
 // balance, frames conservation, write-at-most-once, mutation-free failed
@@ -64,7 +70,7 @@
 // will start next. The prediction replays the engine's own start rule —
 // priority order, first-fit within the backfill window, parents activated
 // by in-flight completions — so prefetch targets what will actually run,
-// not the raw head of the ready heap. All transfers serialize through one
+// not the raw head of the ready set. All transfers serialize through one
 // device timeline with demand and prefetch reads taking priority over the
 // unstarted write backlog (a started write is never preempted), so
 // overlap hides transfer time under compute but never exceeds DiskModel
@@ -117,12 +123,15 @@ struct ParallelConfig {
   /// frees up.
   bool backfill = true;
   /// Bounded backfill look-ahead: with backfill on, at most this many ready
-  /// tasks are examined per free worker slot before the round gives up
-  /// (the fit check is O(1), so a failed look costs nothing). 0 = scan the
-  /// whole ready heap (the historical backfill behaviour); 1 = strict
-  /// priority, equivalent to backfill = false. Starts within one round only
-  /// shrink the memory slack, so a bounded scan never misses a task that a
-  /// later scan of the same round could have started.
+  /// tasks are examined per free worker slot before the round gives up.
+  /// 0 = examine every ready task (the historical backfill behaviour);
+  /// 1 = strict priority, equivalent to backfill = false. Starts within one
+  /// round only shrink the memory slack, so a bounded scan never misses a
+  /// task that a later scan of the same round could have started. The
+  /// paged engine answers each slot with one first-fit query over the
+  /// ready ranks, so the depth changes the schedule but not the cost; the
+  /// failed_starts / backfill_scans counters still count every examined
+  /// candidate.
   int backfill_depth = 0;
   /// Penalty strength for Priority::kReservedCriticalPath (>= 0). 0 makes
   /// the rank collapse to kCriticalPath bit-identically.

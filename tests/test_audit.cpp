@@ -18,12 +18,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/core/check.hpp"
 #include "src/core/eviction.hpp"
 #include "src/core/tree.hpp"
 #include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
+#include "src/parallel/ready_index.hpp"
 #include "src/service/plan_service.hpp"
 #include "src/service/result_cache.hpp"
 #include "src/util/rng.hpp"
@@ -254,6 +256,33 @@ TEST(Audit, ConvictsDiskTransferDoubleBooking) {
   const Tree t = test::small_random_tree(48, 14, rng);
   EXPECT_THROW((void)parallel::simulate_parallel_paged(t, pipelined_pressure_config(t, 4, 4)),
                core::AuditError);
+#else
+  GTEST_SKIP() << "fault hooks compile away without OOCTREE_AUDIT (dev preset)";
+#endif
+}
+
+// The ready-set bug class: erasing a block's smallest ready weight without
+// refreshing the block minimum. first_fit stays correct (it moves past a
+// block whose scan finds nothing), so only the audit can see the drift —
+// both on the index itself and through the engine's per-completion sweep.
+TEST(Audit, ConvictsStaleReadyBlockMinimum) {
+#if OOCTREE_AUDIT_ENABLED
+  const core::FaultGuard guard;
+  parallel::ReadyIndex ready(std::vector<core::Weight>{1, 5, 9});
+  ready.insert(0);
+  ready.insert(1);
+  ready.audit();  // healthy so far
+  core::fault::parallel_engine.store(32);  // erase leaves the block minimum stale
+  ready.erase(0);
+  EXPECT_THROW(ready.audit(), core::AuditError);
+  EXPECT_EQ(ready.first_fit(0, 4), ready.end()) << "a stale minimum must not invent a fit";
+
+  util::Rng rng(3);
+  const Tree t = test::small_random_tree(24, 12, rng);
+  ParallelConfig c;
+  c.workers = 2;
+  c.memory = t.min_feasible_memory() * 2;
+  EXPECT_THROW((void)parallel::simulate_parallel(t, c), core::AuditError);
 #else
   GTEST_SKIP() << "fault hooks compile away without OOCTREE_AUDIT (dev preset)";
 #endif

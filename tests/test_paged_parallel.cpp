@@ -16,10 +16,18 @@
 // DiskModel::transfer_time.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <type_traits>
+#include <vector>
+
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
+#include "src/treegen/random_binary.hpp"
 #include "test_support.hpp"
 
 namespace ooctree {
@@ -52,6 +60,8 @@ void expect_base_identical(const ParallelResult& a, const ParallelResult& b,
   EXPECT_EQ(a.finish_time, b.finish_time) << label;
   EXPECT_EQ(a.busy_time, b.busy_time) << label;
   EXPECT_EQ(a.failed_starts, b.failed_starts) << label;
+  EXPECT_EQ(a.backfill_scans, b.backfill_scans) << label;
+  EXPECT_EQ(a.backfill_hits, b.backfill_hits) << label;
 }
 
 PagedParallelConfig paged_config(const ParallelConfig& base, Weight page_size) {
@@ -329,6 +339,146 @@ TEST(PagedParallel, RejectsBadConfig) {
   PagedParallelConfig bad_workers = paged_config(base, 1);
   bad_workers.base.workers = 0;
   EXPECT_THROW((void)simulate_parallel_paged(t, bad_workers), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins for the paged paths no oracle covers. The scan-based
+// reference engine is unit-granular with free reads, so paged runs with a
+// disk model, pipelined runs and residency-aware runs have no differential
+// partner. These digests of the *full* PagedParallelResult (start order;
+// start, finish and per-node I/O vectors; every counter and stall) were
+// recorded from the heap-based engine at commit 5ceadba and pin every later
+// engine to it bit-for-bit. The values assume IEEE-754 doubles evaluated
+// without FP contraction (the project's default flags on x86-64).
+
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int k = 0; k < 8; ++k) {
+      h_ ^= (v >> (8 * k)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+  void add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+  template <typename T>
+  void add(const std::vector<T>& values) {
+    add(static_cast<std::uint64_t>(values.size()));
+    for (const T& v : values) {
+      if constexpr (std::is_floating_point_v<T>) {
+        add(static_cast<double>(v));
+      } else {
+        add(static_cast<std::int64_t>(v));
+      }
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;  // FNV-1a 64
+};
+
+std::uint64_t digest(const PagedParallelResult& r) {
+  Digest d;
+  const ParallelResult& b = r.base;
+  d.add(static_cast<std::int64_t>(b.feasible));
+  d.add(b.makespan);
+  d.add(b.io_volume);
+  d.add(b.io);
+  d.add(b.start_order);
+  d.add(b.start_time);
+  d.add(b.finish_time);
+  d.add(b.peak_resident);
+  d.add(b.busy_time);
+  d.add(b.failed_starts);
+  d.add(b.backfill_scans);
+  d.add(b.backfill_hits);
+  d.add(r.frames);
+  d.add(r.pages_written);
+  d.add(r.pages_read);
+  d.add(r.pages_dropped_clean);
+  d.add(r.eviction_events);
+  d.add(r.peak_frames_used);
+  d.add(r.read_transfers);
+  d.add(r.read_stall);
+  d.add(r.write_stall);
+  d.add(r.write_queue_peak);
+  d.add(r.prefetch_issued);
+  d.add(r.prefetch_useful);
+  d.add(r.prefetch_wasted);
+  d.add(r.disk_read_time);
+  d.add(r.disk_write_time);
+  return d.value();
+}
+
+// Sweep index bits: page {1, 32} x disk {none, 0.5 s + 64 units/s} x
+// backfill depth {0, 8} x {synchronous, prefetch 8 + write queue 4} x
+// residency {off, on}; 4 workers, critical-path priority, Belady, at
+// 1.1x the page-rounded minimum feasible memory.
+PagedParallelConfig golden_config(const Tree& t, int k) {
+  PagedParallelConfig c;
+  c.page_size = (k & 1) != 0 ? 32 : 1;
+  if ((k & 2) != 0) c.disk = iosim::DiskModel{0.5, 64.0};
+  c.base.workers = 4;
+  c.base.backfill_depth = (k & 4) != 0 ? 8 : 0;
+  if ((k & 8) != 0) {
+    c.base.prefetch_window = 8;
+    c.base.write_queue_depth = 4;
+  }
+  c.base.residency_aware = (k & 16) != 0;
+  c.base.memory = iosim::min_feasible_frames(t, c.page_size) * c.page_size * 11 / 10;
+  return c;
+}
+
+// Two trees that each span several 64-rank blocks: a SYNTH binary tree and
+// a high fan-in recursive tree.
+constexpr std::uint64_t kGolden[2][32] = {
+    {
+        0x145690ef2037b671ULL, 0x6ad85207c494f2eaULL, 0x5f91ca7e3eb9e225ULL,
+        0xd1c94afcf34b94ecULL, 0x041bbbfd15201e02ULL, 0xdd0221170f2e06e1ULL,
+        0x4f6d2d916ead1123ULL, 0xf022fb53e7729631ULL, 0x145690ef2037b671ULL,
+        0x6ad85207c494f2eaULL, 0xb79da03c6a8787c5ULL, 0xde611f13810f9b1dULL,
+        0x041bbbfd15201e02ULL, 0xdd0221170f2e06e1ULL, 0x646b08f6c20e9d79ULL,
+        0xf1fe593d0cf76637ULL, 0x145690ef2037b671ULL, 0x6ad85207c494f2eaULL,
+        0x9dd542ed1a0248c8ULL, 0xf0f848fa0ecd5e1dULL, 0x041bbbfd15201e02ULL,
+        0xdd0221170f2e06e1ULL, 0xef68870a5717c7d6ULL, 0x36fc771841b4f85fULL,
+        0x145690ef2037b671ULL, 0x6ad85207c494f2eaULL, 0x7b2aeebed3d3d36fULL,
+        0xabc6c6e615c7f2d4ULL, 0x041bbbfd15201e02ULL, 0xdd0221170f2e06e1ULL,
+        0xfcd64b2c1fe3509aULL, 0xed439d31f30eec2eULL,
+    },
+    {
+        0x1d1e541f7b0f998fULL, 0x4a3d0faa4b55e71eULL, 0xacbe884b7f20615fULL,
+        0x02f61f14b6dd6efdULL, 0xd76f663c3677617aULL, 0xf0d9b6b71204a8a7ULL,
+        0x38cbc3116846f164ULL, 0x65361c909ea19654ULL, 0x1d1e541f7b0f998fULL,
+        0x4a3d0faa4b55e71eULL, 0x0c9210b4c164b343ULL, 0x27a37b193a7619cfULL,
+        0xd76f663c3677617aULL, 0xf0d9b6b71204a8a7ULL, 0x00b8dfdc6c0aa3d9ULL,
+        0xd7342c5b5da26f45ULL, 0x1d1e541f7b0f998fULL, 0x4a3d0faa4b55e71eULL,
+        0x3d08dbd6677af5d4ULL, 0xd440025a863910a2ULL, 0xd76f663c3677617aULL,
+        0xf0d9b6b71204a8a7ULL, 0x77f70138bfa2c8bdULL, 0x171d013ee1ab03a2ULL,
+        0x1d1e541f7b0f998fULL, 0x4a3d0faa4b55e71eULL, 0x95f133413ac676bcULL,
+        0xa76bbb07da729956ULL, 0xd76f663c3677617aULL, 0xf0d9b6b71204a8a7ULL,
+        0x2f5c17a90364dbc5ULL, 0x8a50b7d09b209f61ULL,
+    },
+};
+
+TEST(PagedParallel, GoldenDigestsPinPathsWithoutOracle) {
+  util::Rng rng(130013);
+  const Tree trees[2] = {treegen::synth_instance(600, 1, 100, rng),
+                         test::small_random_wide_tree(400, 100, rng)};
+  for (int tree_k = 0; tree_k < 2; ++tree_k) {
+    for (int k = 0; k < 32; ++k) {
+      const auto r = simulate_parallel_paged(trees[tree_k], golden_config(trees[tree_k], k));
+      ASSERT_TRUE(r.base.feasible) << "tree=" << tree_k << " k=" << k;
+      const std::uint64_t got = digest(r);
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016" PRIx64 "ULL", got);
+      EXPECT_EQ(got, kGolden[tree_k][k]) << "tree=" << tree_k << " k=" << k << " got " << hex;
+    }
+  }
 }
 
 }  // namespace

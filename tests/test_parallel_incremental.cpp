@@ -1,6 +1,6 @@
 // Differential oracle for the indexed parallel engine (PR 3).
 //
-// simulate_parallel (EvictionIndex + heap ready queue + transactional
+// simulate_parallel (EvictionIndex + rank-indexed ready set + transactional
 // starts) must be observationally identical to the retained scan-based
 // simulate_parallel_reference, and at one worker following the reference
 // order both must collapse to the sequential FiF simulator. Mirrors the
@@ -10,6 +10,7 @@
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/parallel/parallel_sim.hpp"
+#include "src/treegen/random_binary.hpp"
 #include "test_support.hpp"
 
 namespace ooctree {
@@ -37,6 +38,8 @@ void expect_identical(const ParallelResult& a, const ParallelResult& b,
   EXPECT_EQ(a.finish_time, b.finish_time) << label;
   EXPECT_EQ(a.busy_time, b.busy_time) << label;
   EXPECT_EQ(a.failed_starts, b.failed_starts) << label;
+  EXPECT_EQ(a.backfill_scans, b.backfill_scans) << label;
+  EXPECT_EQ(a.backfill_hits, b.backfill_hits) << label;
 }
 
 std::string label(std::size_t rep, int workers, int priority, Weight m) {
@@ -102,6 +105,39 @@ TEST(ParallelIncremental, NewEngineMatchesReferenceAcrossSweep) {
           expect_identical(simulate_parallel(t, c), simulate_parallel_reference(t, c),
                            label(static_cast<std::size_t>(rep), workers,
                                  static_cast<int>(p), m));
+        }
+      }
+    }
+  }
+}
+
+// The sweeps above use trees of at most 45 nodes, which fit in one 64-rank
+// block of the engine's ready index (src/parallel/ready_index.hpp). These
+// SYNTH trees span 2 to 47 blocks, so first_fit's descent over the block
+// tree and count()'s block sums run against the scan-based oracle at every
+// backfill depth, worker count and priority. The reference pays O(n) per
+// failed start, so the largest tree runs at 2x LB (about 11k failures at
+// depth 0) instead of 1.1x (about 510k).
+TEST(ParallelIncremental, MultiBlockSweepMatchesReference) {
+  const std::vector<Priority> priorities{Priority::kSequentialOrder, Priority::kCriticalPath,
+                                         Priority::kHeaviestSubtree,
+                                         Priority::kReservedCriticalPath};
+  for (const std::size_t n : {65, 200, 1000, 3000}) {
+    util::Rng rng(24101 + n);
+    const Tree t = treegen::synth_instance(n, 1, 100, rng);
+    const Weight lb = t.min_feasible_memory();
+    for (const int depth : {0, 1, 2, 8}) {
+      for (const int workers : {1, 4}) {
+        for (std::size_t p = 0; p < priorities.size(); ++p) {
+          ParallelConfig c;
+          c.workers = workers;
+          c.memory = n < 3000 ? lb * 11 / 10 : lb * 2;
+          c.priority = priorities[p];
+          c.backfill_depth = depth;
+          expect_identical(simulate_parallel(t, c), simulate_parallel_reference(t, c),
+                           "n=" + std::to_string(n) + " depth=" + std::to_string(depth) +
+                               " workers=" + std::to_string(workers) +
+                               " priority=" + std::to_string(p));
         }
       }
     }

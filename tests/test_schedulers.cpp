@@ -8,7 +8,7 @@
 //   * backfill_depth = 1 is exactly the pre-PR strict scan (backfill =
 //     false), including the failed-start count and zero scan/hit stats —
 //     the new priority and knobs leave the pinned engine behavior intact;
-//   * the heap engine equals the scan-based reference oracle across the
+//   * the indexed engine equals the scan-based reference oracle across the
 //     new priority x penalties x workers x depths (both implement the
 //     depth-bounded scan and its stats);
 //   * workers = 1 + sequential order + strict scan still matches the
@@ -21,6 +21,7 @@
 //     (hits can only come from scans; depth 1 forces both to zero).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "src/core/fif_simulator.hpp"
@@ -303,8 +304,9 @@ TEST(Schedulers, BackfillStatsAreConsistent) {
   EXPECT_EQ(strict.backfill_hits, 0);
 }
 
-// Config validation: negative depth and negative (or NaN) penalties are
-// rejected up front.
+// Config validation: negative depth and negative, NaN or infinite
+// penalties are rejected up front (an infinite penalty times a zero
+// factor would make a NaN priority key, which has no rank).
 TEST(Schedulers, RejectsInvalidKnobs) {
   const Tree t = core::make_tree({{core::kNoNode, 2}, {0, 1}});
   ParallelConfig c;
@@ -316,6 +318,9 @@ TEST(Schedulers, RejectsInvalidKnobs) {
   c.priority = Priority::kReservedCriticalPath;
   c.reserve_penalty = -0.5;
   EXPECT_THROW((void)simulate_parallel(t, c), std::invalid_argument);
+  c.reserve_penalty = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)simulate_parallel(t, c), std::invalid_argument);
+  EXPECT_THROW((void)simulate_parallel_reference(t, c), std::invalid_argument);
 }
 
 }  // namespace
