@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       core::RecExpandOptions opts;
       opts.max_expansions_per_node = cap;
       const auto r = core::rec_expand(t, row.memory, opts);
-      row.io.push_back(r.evaluation.io_volume);
+      row.io.push_back(core::simulate_fif(t, r.schedule, row.memory).io_volume);
       row.expansions.push_back(r.expansions);
     }
   });

@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
       core::RecExpandOptions opts;
       opts.max_expansions_per_node = 2;
       opts.victim_rule = rule;
-      row.io.push_back(core::rec_expand(t, row.memory, opts).evaluation.io_volume);
+      const core::Schedule schedule = core::rec_expand(t, row.memory, opts).schedule;
+      row.io.push_back(core::simulate_fif(t, schedule, row.memory).io_volume);
     }
   });
 

@@ -79,7 +79,7 @@ BENCHMARK(BM_FifSimulator)->Arg(3000)->Arg(30000);
 void BM_RecExpand2(benchmark::State& state) {
   const Tree t = synth(static_cast<std::size_t>(state.range(0)), 7);
   const Weight m = (t.min_feasible_memory() + core::opt_minmem_peak(t, t.root())) / 2;
-  for (auto _ : state) benchmark::DoNotOptimize(core::rec_expand2(t, m).evaluation.io_volume);
+  for (auto _ : state) benchmark::DoNotOptimize(core::rec_expand2(t, m).final_peak);
 }
 BENCHMARK(BM_RecExpand2)->Arg(1000)->Arg(3000);
 
@@ -96,7 +96,7 @@ void BM_FullRecExpand_TightMemory(benchmark::State& state) {
   const Tree t = synth(static_cast<std::size_t>(state.range(0)), 9);
   const Weight m = tight_memory(t);
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::full_rec_expand(t, m).evaluation.io_volume);
+    benchmark::DoNotOptimize(core::full_rec_expand(t, m).final_peak);
 }
 BENCHMARK(BM_FullRecExpand_TightMemory)->Arg(1000)->Arg(3000);
 
@@ -105,7 +105,7 @@ void BM_FullRecExpandReference_TightMemory(benchmark::State& state) {
   const Weight m = tight_memory(t);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        core::rec_expand_reference(t, m, core::RecExpandOptions{}).evaluation.io_volume);
+        core::rec_expand_reference(t, m, core::RecExpandOptions{}).final_peak);
 }
 BENCHMARK(BM_FullRecExpandReference_TightMemory)->Arg(1000)->Arg(3000);
 
@@ -126,6 +126,20 @@ void BM_RemyGenerator(benchmark::State& state) {
         treegen::uniform_binary_tree(static_cast<std::size_t>(state.range(0)), rng).size());
 }
 BENCHMARK(BM_RemyGenerator)->Arg(3000)->Arg(30000);
+
+// The full SYNTH generator as the service materializes it: shape, weights
+// and the one Tree build under the requested memory model (arg 1: 0 =
+// max-in-out, 1 = sum-in-out).
+void BM_SynthInstance(benchmark::State& state) {
+  util::Rng rng(11);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto model =
+      state.range(1) == 0 ? core::MemoryModel::kMaxInOut : core::MemoryModel::kSumInOut;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(treegen::synth_instance(n, 1, 100, rng, model).total_weight());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SynthInstance)->ArgsProduct({{1000, 10000, 100000}, {0, 1}});
 
 void BM_EtreeAndCounts(benchmark::State& state) {
   const auto k = static_cast<sparse::Index>(state.range(0));

@@ -65,18 +65,19 @@ int main() {
   // The paper's heuristic: force unavoidable I/O into the tree structure
   // by node expansion, re-plan, repeat.
   const auto rec = core::full_rec_expand(tree, memory);
+  const auto eval_rec = core::simulate_fif(tree, rec.schedule, memory);
   std::printf("FullRecExpand                           : %lld I/O units"
               " (%zu expansions, %lld units expanded)\n",
-              (long long)rec.evaluation.io_volume, rec.expansions,
+              (long long)eval_rec.io_volume, rec.expansions,
               (long long)rec.expansion_volume);
 
   // Show the actual plan: execution order plus which outputs are spilled.
   std::printf("\nchosen plan (FullRecExpand):\n  order:");
   for (const core::NodeId v : rec.schedule) std::printf(" %d", v);
   std::printf("\n  spills:");
-  for (std::size_t i = 0; i < rec.evaluation.io.size(); ++i)
-    if (rec.evaluation.io[i] > 0)
-      std::printf(" node %zu -> %lld units", i, (long long)rec.evaluation.io[i]);
+  for (std::size_t i = 0; i < eval_rec.io.size(); ++i)
+    if (eval_rec.io[i] > 0)
+      std::printf(" node %zu -> %lld units", i, (long long)eval_rec.io[i]);
   std::printf("\n");
   return 0;
 }

@@ -223,7 +223,6 @@ RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptio
   final_schedule.reserve(expanded.tree.size());
   engine.extract_schedule(root, final_schedule);
   result.schedule = expanded.map_schedule(final_schedule);
-  result.evaluation = simulate_fif(tree, result.schedule, memory);
   result.expansion_volume = expanded.expansion_volume;
   result.expansions = total_expansions;
   return result;
@@ -299,7 +298,6 @@ RecExpandResult rec_expand_reference(const Tree& tree, Weight memory,
   const OptMinMemResult final_opt = opt_minmem(expanded.tree);
   result.final_peak = final_opt.peak;
   result.schedule = expanded.map_schedule(final_opt.schedule);
-  result.evaluation = simulate_fif(tree, result.schedule, memory);
   result.expansion_volume = expanded.expansion_volume;
   result.expansions = total_expansions;
   return result;

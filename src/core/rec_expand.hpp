@@ -47,14 +47,16 @@ struct RecExpandOptions {
   /// Safety valve: total expansions across the whole run. FullRecExpand's
   /// loop count is not polynomially bounded (Section 5), so a cap keeps
   /// adversarial inputs from running away; the result stays a valid
-  /// traversal because the mapped schedule is re-evaluated with FiF.
+  /// traversal because FiF (simulate_fif) writes out whatever the mapped
+  /// schedule still does not fit.
   std::size_t global_expansion_cap = std::numeric_limits<std::size_t>::max();
 };
 
-/// Result of a RecExpand run.
+/// Result of a RecExpand run. It carries no FiF evaluation: callers that
+/// need the I/O function run simulate_fif(tree, schedule, M) once
+/// themselves (run_strategy does), so no path pays for it twice.
 struct RecExpandResult {
   Schedule schedule;              ///< schedule on the original tree
-  FifResult evaluation;           ///< FiF evaluation of `schedule` under M
   Weight expansion_volume = 0;    ///< sum of all expansion amounts
   std::size_t expansions = 0;     ///< number of expansions performed
   Weight final_peak = 0;          ///< OptMinMem peak of the final expanded tree

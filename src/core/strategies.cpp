@@ -38,25 +38,34 @@ std::vector<Strategy> cheap_strategies() {
   return {Strategy::kOptMinMem, Strategy::kRecExpand, Strategy::kPostOrderMinIo};
 }
 
-StrategyOutcome run_strategy(Strategy s, const Tree& tree, Weight memory) {
+StrategyOutcome StrategyRunner::run(Strategy s, Weight memory) {
   StrategyOutcome out;
   out.strategy = s;
   switch (s) {
     case Strategy::kPostOrderMinIo:
-      out.schedule = postorder_minio(tree, memory).schedule;
+      out.schedule = postorder_minio(tree_, memory).schedule;
       break;
     case Strategy::kOptMinMem:
-      out.schedule = opt_minmem(tree).schedule;
+      if (!optminmem_.has_value()) optminmem_ = opt_minmem(tree_).schedule;
+      out.schedule = *optminmem_;
       break;
     case Strategy::kRecExpand:
-      out.schedule = rec_expand2(tree, memory).schedule;
+    case Strategy::kFullRecExpand: {
+      // The 3-arg rec_expand delegates to this overload with the same
+      // peaks, so sharing them changes nothing but the work.
+      if (!all_peaks_.has_value()) all_peaks_ = opt_minmem_all_peaks(tree_);
+      RecExpandOptions options;
+      if (s == Strategy::kRecExpand) options.max_expansions_per_node = 2;
+      out.schedule = rec_expand(tree_, memory, options, *all_peaks_).schedule;
       break;
-    case Strategy::kFullRecExpand:
-      out.schedule = full_rec_expand(tree, memory).schedule;
-      break;
+    }
   }
-  out.evaluation = simulate_fif(tree, out.schedule, memory);
+  out.evaluation = simulate_fif(tree_, out.schedule, memory);
   return out;
+}
+
+StrategyOutcome run_strategy(Strategy s, const Tree& tree, Weight memory) {
+  return StrategyRunner(tree).run(s, memory);
 }
 
 }  // namespace ooctree::core

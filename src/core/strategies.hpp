@@ -5,6 +5,7 @@
 // Theorem 1), so the comparison across strategies is apples-to-apples.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,26 @@ struct StrategyOutcome {
   [[nodiscard]] Weight io_volume() const { return evaluation.io_volume; }
 };
 
-/// Runs one strategy on (tree, memory).
+/// Runs strategies on one tree at any number of memory bounds, sharing the
+/// memory-independent passes between runs: the OptMinMem schedule (it does
+/// not depend on M) and the opt_minmem_all_peaks vector the RecExpand
+/// family skips fitting subtrees with. Both are pure functions of the tree
+/// and are computed on first use, so run() is bit-identical whether or not
+/// earlier runs filled them. Each run plans once and evaluates its schedule
+/// with exactly one simulate_fif call. The tree must outlive the runner.
+class StrategyRunner {
+ public:
+  explicit StrategyRunner(const Tree& tree) : tree_(tree) {}
+
+  [[nodiscard]] StrategyOutcome run(Strategy s, Weight memory);
+
+ private:
+  const Tree& tree_;
+  std::optional<Schedule> optminmem_;
+  std::optional<std::vector<Weight>> all_peaks_;
+};
+
+/// Runs one strategy on (tree, memory): a single StrategyRunner::run.
 [[nodiscard]] StrategyOutcome run_strategy(Strategy s, const Tree& tree, Weight memory);
 
 }  // namespace ooctree::core

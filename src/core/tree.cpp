@@ -52,9 +52,19 @@ Tree Tree::from_parents(std::vector<NodeId> parent, std::vector<Weight> weight,
     if (p != kNoNode) a.child_list[static_cast<std::size_t>(cursor[idx(p)]++)] = i;
   }
 
-  // Acyclicity: every node must reach the root; equivalently the postorder
-  // from the root must visit all n nodes.
-  if (t.postorder(t.root_).size() != n)
+  // Acyclicity: with exactly one root, a node is unreachable from the root
+  // iff it lies on or under a cycle, so count what a breadth-first walk
+  // over the CSR reaches (each node sits in one child list, so the queue
+  // holds every node at most once).
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  queue.push_back(t.root_);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    for (std::int64_t k = a.child_offset[idx(v)]; k < a.child_offset[idx(v) + 1]; ++k)
+      queue.push_back(a.child_list[static_cast<std::size_t>(k)]);
+  }
+  if (queue.size() != n)
     throw std::invalid_argument("Tree: parent array contains a cycle or disconnected part");
 
   t.total_weight_ = 0;

@@ -8,9 +8,6 @@
 #include <utility>
 
 #include "src/core/check.hpp"
-#include "src/core/minio_postorder.hpp"
-#include "src/core/minmem_optimal.hpp"
-#include "src/core/rec_expand.hpp"
 #include "src/util/stopwatch.hpp"
 
 namespace ooctree::service {
@@ -30,54 +27,6 @@ std::shared_ptr<const PlanStats> error_stats(const std::string& message) {
 }
 
 }  // namespace
-
-/// Per-tree shared planning state of one fused group. Only state that is a
-/// *pure function of the tree alone* is shared — the OptMinMem schedule and
-/// the opt_minmem_all_peaks vector, both memory-independent — so run() is
-/// bit-identical to core::run_strategy by construction: kOptMinMem hands
-/// out copies of the one optimal schedule run_strategy would recompute,
-/// and the RecExpand variants call the rec_expand overload the 3-arg
-/// entry point itself delegates to. kPostOrderMinIo is memory-dependent
-/// and shares nothing beyond the materialized tree.
-class PlanService::SharedPlanState {
- public:
-  explicit SharedPlanState(const core::Tree& tree) : tree_(tree) {}
-
-  [[nodiscard]] core::StrategyOutcome run(core::Strategy s, core::Weight memory) {
-    core::StrategyOutcome out;
-    out.strategy = s;
-    switch (s) {
-      case core::Strategy::kPostOrderMinIo:
-        out.schedule = core::postorder_minio(tree_, memory).schedule;
-        break;
-      case core::Strategy::kOptMinMem:
-        if (!optminmem_.has_value()) optminmem_ = core::opt_minmem(tree_).schedule;
-        out.schedule = *optminmem_;
-        break;
-      case core::Strategy::kRecExpand: {
-        core::RecExpandOptions options;
-        options.max_expansions_per_node = 2;
-        out.schedule = core::rec_expand(tree_, memory, options, peaks()).schedule;
-        break;
-      }
-      case core::Strategy::kFullRecExpand:
-        out.schedule = core::rec_expand(tree_, memory, core::RecExpandOptions{}, peaks()).schedule;
-        break;
-    }
-    out.evaluation = core::simulate_fif(tree_, out.schedule, memory);
-    return out;
-  }
-
- private:
-  [[nodiscard]] const std::vector<core::Weight>& peaks() {
-    if (!all_peaks_.has_value()) all_peaks_ = core::opt_minmem_all_peaks(tree_);
-    return *all_peaks_;
-  }
-
-  const core::Tree& tree_;
-  std::optional<core::Schedule> optminmem_;
-  std::optional<std::vector<core::Weight>> all_peaks_;
-};
 
 PlanService::PlanService(ServiceConfig config)
     : config_(config),
@@ -179,12 +128,15 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
     return;
   }
 
-  SharedPlanState shared(*tree);
+  // The shared runner plans every member off the memory-independent passes
+  // computed once for the tree; the tree is hashed once for the group.
+  core::StrategyRunner runner(*tree);
+  const std::uint64_t tree_hash = tree->canonical_hash();
   for (const std::size_t i : pending) {
     const PlanRequest& request = requests[i];
     try {
       const core::Weight memory = resolve_memory(request, *tree);
-      const CacheKey key{tree->canonical_hash(), params_fingerprint(request, memory, seeds[i])};
+      const CacheKey key{tree_hash, params_fingerprint(request, memory, seeds[i])};
       const std::optional<std::uint64_t> fingerprint = request_fingerprint(request, seeds[i]);
       const CacheKey spec_key{fingerprint.value_or(0), kFingerprintTag};
       // The canonical probe also dedups *within* the group: an earlier
@@ -196,7 +148,8 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
         continue;
       }
       std::shared_ptr<const PlanStats> stats =
-          finish_stats(request, *tree, memory, seeds[i], shared.run(request.strategy, memory));
+          finish_stats(request, *tree, tree_hash, memory, seeds[i],
+                       runner.run(request.strategy, memory));
       if (stats->ok) {
         cache_.put(key, stats, /*persistable=*/true);
         if (fingerprint.has_value()) cache_.put(spec_key, stats, /*persistable=*/false);
@@ -318,7 +271,7 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
     // stale entry would poison all future requests for this instance.
     std::shared_ptr<const PlanStats> stats;
     try {
-      stats = compute(request, std::move(tree), memory, seed);
+      stats = compute(request, tree, key.tree, memory, seed);
       if (stats->ok) {
         cache_.put(key, stats, /*persistable=*/true);
         if (fingerprint.has_value()) cache_.put(spec_key, stats, /*persistable=*/false);
@@ -343,10 +296,12 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
 }
 
 std::shared_ptr<const PlanStats> PlanService::compute(const PlanRequest& request,
-                                                      core::Tree tree, core::Weight memory,
+                                                      const core::Tree& tree,
+                                                      std::uint64_t tree_hash,
+                                                      core::Weight memory,
                                                       std::uint64_t seed) const {
   try {
-    return finish_stats(request, tree, memory, seed,
+    return finish_stats(request, tree, tree_hash, memory, seed,
                         core::run_strategy(request.strategy, tree, memory));
   } catch (const std::exception& e) {
     return error_stats(e.what());
@@ -355,13 +310,14 @@ std::shared_ptr<const PlanStats> PlanService::compute(const PlanRequest& request
 
 std::shared_ptr<const PlanStats> PlanService::finish_stats(const PlanRequest& request,
                                                            const core::Tree& tree,
+                                                           std::uint64_t tree_hash,
                                                            core::Weight memory,
                                                            std::uint64_t seed,
                                                            core::StrategyOutcome outcome) const {
   auto stats = std::make_shared<PlanStats>();
   try {
     stats->nodes = tree.size();
-    stats->tree_hash = tree.canonical_hash();
+    stats->tree_hash = tree_hash;
     stats->total_weight = tree.total_weight();
     stats->lb = tree.min_feasible_memory();
     stats->memory = memory;

@@ -89,10 +89,11 @@ class PlanService {
   [[nodiscard]] PlanResponse plan(const PlanRequest& request);
 
   /// Serves a batch synchronously with *fusion*: requests that materialize
-  /// the same tree (equal tree_identity) share one materialization and the
-  /// memory-independent planning passes — OptMinMem members share the one
-  /// optimal schedule (it does not depend on M), RecExpand/FullRecExpand
-  /// members share the opt_minmem_all_peaks bottom-up pass — instead of K
+  /// the same tree (equal tree_identity) share one materialization, one
+  /// canonical hash and the memory-independent planning passes of one
+  /// core::StrategyRunner — OptMinMem members share the one optimal
+  /// schedule (it does not depend on M), RecExpand/FullRecExpand members
+  /// share the opt_minmem_all_peaks bottom-up pass — instead of K
   /// independent full computes. Everything shared is a pure function of the
   /// tree alone, so fused responses are bit-identical to independent
   /// plan() calls (pinned by tests/test_server.cpp and the fusion rows of
@@ -118,8 +119,6 @@ class PlanService {
   void audit(bool quiescent = false) const;
 
  private:
-  class SharedPlanState;
-
   PlanResponse serve(const PlanRequest& request);
   void serve_group(const std::vector<PlanRequest>& requests,
                    const std::vector<std::size_t>& members,
@@ -127,12 +126,17 @@ class PlanService {
                    std::vector<PlanResponse>& responses);
   PlanResponse respond(const PlanRequest& request, std::shared_ptr<const PlanStats> stats,
                        Served served, double seconds);
+  /// `tree_hash` is tree.canonical_hash(), already computed for the cache
+  /// key; neither function hashes the tree again.
   [[nodiscard]] std::shared_ptr<const PlanStats> compute(const PlanRequest& request,
-                                                         core::Tree tree, core::Weight memory,
+                                                         const core::Tree& tree,
+                                                         std::uint64_t tree_hash,
+                                                         core::Weight memory,
                                                          std::uint64_t seed) const;
-  /// Evaluates + replays an already-planned outcome into immutable stats.
+  /// Replays an already-planned and evaluated outcome into immutable stats.
   [[nodiscard]] std::shared_ptr<const PlanStats> finish_stats(const PlanRequest& request,
                                                               const core::Tree& tree,
+                                                              std::uint64_t tree_hash,
                                                               core::Weight memory,
                                                               std::uint64_t seed,
                                                               core::StrategyOutcome outcome) const;

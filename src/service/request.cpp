@@ -165,7 +165,8 @@ core::Tree materialize_tree(const PlanRequest& request, std::uint64_t seed) {
         if (request.w_lo < 1 || request.w_hi < request.w_lo)
           throw std::invalid_argument("synth request: need 1 <= w_lo <= w_hi");
         util::Rng rng(seed);
-        return treegen::synth_instance(request.nodes, request.w_lo, request.w_hi, rng);
+        return treegen::synth_instance(request.nodes, request.w_lo, request.w_hi, rng,
+                                       request.model);
       }
       case TreeSource::kParents:
         return core::Tree::from_parents(request.parent, request.weight, request.model);

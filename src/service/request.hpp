@@ -173,7 +173,9 @@ struct PlanResponse {
 [[nodiscard]] std::uint64_t effective_seed(const PlanRequest& request, std::uint64_t service_seed);
 
 /// Materializes the request's tree (generates, decodes, or loads it) under
-/// the request's memory model. Throws std::runtime_error /
+/// the request's memory model. Generator specs and parent vectors are built
+/// once, directly under that model; loaded trees are rebuilt only when
+/// their stored model differs. Throws std::runtime_error /
 /// std::invalid_argument on bad specs or unreadable files.
 [[nodiscard]] core::Tree materialize_tree(const PlanRequest& request, std::uint64_t seed);
 

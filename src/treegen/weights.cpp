@@ -16,11 +16,16 @@ core::Tree rebuild(const core::Tree& tree, std::vector<core::Weight> weights) {
 
 }  // namespace
 
+std::vector<core::Weight> uniform_weights(std::size_t n, core::Weight lo, core::Weight hi,
+                                          util::Rng& rng) {
+  std::vector<core::Weight> w(n);
+  for (auto& x : w) x = rng.uniform_int(lo, hi);
+  return w;
+}
+
 core::Tree with_uniform_weights(const core::Tree& tree, core::Weight lo, core::Weight hi,
                                 util::Rng& rng) {
-  std::vector<core::Weight> w(tree.size());
-  for (auto& x : w) x = rng.uniform_int(lo, hi);
-  return rebuild(tree, std::move(w));
+  return rebuild(tree, uniform_weights(tree.size(), lo, hi, rng));
 }
 
 core::Tree with_log_uniform_weights(const core::Tree& tree, core::Weight hi, util::Rng& rng) {

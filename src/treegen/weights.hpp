@@ -2,10 +2,17 @@
 // its structure.
 #pragma once
 
+#include <vector>
+
 #include "src/core/tree.hpp"
 #include "src/util/rng.hpp"
 
 namespace ooctree::treegen {
+
+/// `n` weights drawn uniformly from [lo, hi], in order: the draws behind
+/// with_uniform_weights and synth_instance (random_binary.hpp).
+[[nodiscard]] std::vector<core::Weight> uniform_weights(std::size_t n, core::Weight lo,
+                                                        core::Weight hi, util::Rng& rng);
 
 /// Same structure, weights drawn uniformly from [lo, hi].
 [[nodiscard]] core::Tree with_uniform_weights(const core::Tree& tree, core::Weight lo,

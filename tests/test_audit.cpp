@@ -43,6 +43,7 @@ using service::CacheKey;
 using service::PlanStats;
 using service::ResultCache;
 
+#if OOCTREE_AUDIT_ENABLED  // the fixtures below feed audit-build tests only
 /// The PR 3 failed-start regression tree (see
 /// tests/test_parallel_incremental.cpp): task B keeps failing to fit round
 /// after round while a side chain backfills, so failed transactional
@@ -65,6 +66,7 @@ ParallelConfig failed_start_config() {
   c.priority = Priority::kCriticalPath;
   return c;
 }
+#endif
 
 TEST(Audit, ExplicitSweepsRunAndPassInEveryPreset) {
   const std::uint64_t before = core::audit_checks_executed();
@@ -208,6 +210,7 @@ TEST(Audit, ConvictsReintroducedUnreservedTransient) {
 // paged engine on a stall-heavy configuration the healthy engine passes
 // clean (pinned by tests/test_disk_pipeline.cpp under the dev preset).
 
+#if OOCTREE_AUDIT_ENABLED
 // A pipelined configuration under memory pressure: tight frames force
 // evictions (write traffic), the window forces prefetch reads.
 parallel::PagedParallelConfig pipelined_pressure_config(const Tree& t, int depth, int window) {
@@ -221,6 +224,7 @@ parallel::PagedParallelConfig pipelined_pressure_config(const Tree& t, int depth
   c.disk = iosim::DiskModel{0.5, 2.0};
   return c;
 }
+#endif
 
 TEST(Audit, ConvictsEvictionIgnoringWriteBackpressure) {
 #if OOCTREE_AUDIT_ENABLED

@@ -197,11 +197,14 @@ TEST(ExpansionIncremental, ScheduleFromIoOnAllPositiveTau) {
   }
 }
 
-void expect_same_rec_expand(const RecExpandResult& a, const RecExpandResult& b) {
+void expect_same_rec_expand(const Tree& t, Weight m, const RecExpandResult& a,
+                            const RecExpandResult& b) {
   EXPECT_EQ(a.schedule, b.schedule);
-  EXPECT_EQ(a.evaluation.io_volume, b.evaluation.io_volume);
-  EXPECT_EQ(a.evaluation.io, b.evaluation.io);
-  EXPECT_EQ(a.evaluation.peak_resident, b.evaluation.peak_resident);
+  const core::FifResult fa = core::simulate_fif(t, a.schedule, m);
+  const core::FifResult fb = core::simulate_fif(t, b.schedule, m);
+  EXPECT_EQ(fa.io_volume, fb.io_volume);
+  EXPECT_EQ(fa.io, fb.io);
+  EXPECT_EQ(fa.peak_resident, fb.peak_resident);
   EXPECT_EQ(a.expansion_volume, b.expansion_volume);
   EXPECT_EQ(a.expansions, b.expansions);
   EXPECT_EQ(a.final_peak, b.final_peak);
@@ -223,7 +226,7 @@ TEST(RecExpandIncremental, MatchesReferenceOnRandomTreesBothModels) {
         if (!full) opts.max_expansions_per_node = 2;
         const RecExpandResult inc = core::rec_expand(t, m, opts);
         const RecExpandResult ref = core::rec_expand_reference(t, m, opts);
-        expect_same_rec_expand(inc, ref);
+        expect_same_rec_expand(t, m, inc, ref);
       }
     }
   }
@@ -248,7 +251,7 @@ TEST(RecExpandIncremental, MatchesReferenceOnStructuredShapes) {
     for (const Weight m : {lb, (lb + peak) / 2}) {
       const RecExpandResult inc = core::full_rec_expand(t, m);
       const RecExpandResult ref = core::rec_expand_reference(t, m, RecExpandOptions{});
-      expect_same_rec_expand(inc, ref);
+      expect_same_rec_expand(t, m, inc, ref);
     }
   }
 }
@@ -266,7 +269,7 @@ TEST(RecExpandIncremental, MatchesReferenceUnderAllVictimRules) {
           core::VictimRule::kLargestIo, core::VictimRule::kFirstScheduled}) {
       RecExpandOptions opts;
       opts.victim_rule = rule;
-      expect_same_rec_expand(core::rec_expand(t, m, opts),
+      expect_same_rec_expand(t, m, core::rec_expand(t, m, opts),
                              core::rec_expand_reference(t, m, opts));
     }
   }
@@ -280,7 +283,7 @@ TEST(RecExpandIncremental, MatchesReferenceUnderExpansionCaps) {
     RecExpandOptions opts;
     opts.max_expansions_per_node = 1 + static_cast<std::size_t>(rep % 3);
     opts.global_expansion_cap = 2 + static_cast<std::size_t>(rep % 5);
-    expect_same_rec_expand(core::rec_expand(t, m, opts),
+    expect_same_rec_expand(t, m, core::rec_expand(t, m, opts),
                            core::rec_expand_reference(t, m, opts));
   }
 }
@@ -296,11 +299,11 @@ TEST(RecExpandIncremental, MatchesReferenceOnSynthInstances) {
     if (peak <= lb) continue;
     const Weight m11 = lb + (peak - lb) / 10;  // close to LB: many expansions
     for (const Weight m : {lb, m11, peak - 1}) {
-      expect_same_rec_expand(core::full_rec_expand(t, m),
+      expect_same_rec_expand(t, m, core::full_rec_expand(t, m),
                              core::rec_expand_reference(t, m, RecExpandOptions{}));
       RecExpandOptions two;
       two.max_expansions_per_node = 2;
-      expect_same_rec_expand(core::rec_expand(t, m, two),
+      expect_same_rec_expand(t, m, core::rec_expand(t, m, two),
                              core::rec_expand_reference(t, m, two));
     }
   }

@@ -17,6 +17,11 @@ using core::RecExpandResult;
 using core::Tree;
 using core::Weight;
 
+/// FiF evaluation of a RecExpand schedule (the result carries none).
+core::FifResult fif(const Tree& t, const RecExpandResult& r, Weight m) {
+  return core::simulate_fif(t, r.schedule, m);
+}
+
 TEST(RecExpand, NoExpansionWhenMemoryIsAmple) {
   util::Rng rng(501);
   for (int rep = 0; rep < 20; ++rep) {
@@ -24,7 +29,7 @@ TEST(RecExpand, NoExpansionWhenMemoryIsAmple) {
     const Weight peak = core::opt_minmem(t).peak;
     const RecExpandResult r = full_rec_expand(t, peak);
     EXPECT_EQ(r.expansions, 0u);
-    EXPECT_EQ(r.evaluation.io_volume, 0);
+    EXPECT_EQ(fif(t, r, peak).io_volume, 0);
     EXPECT_EQ(r.final_peak, peak);
   }
 }
@@ -39,8 +44,9 @@ TEST(RecExpand, ProducesValidTraversals) {
     for (const Weight m : {lb, (lb + peak) / 2}) {
       for (const bool full : {false, true}) {
         const RecExpandResult r = full ? full_rec_expand(t, m) : rec_expand2(t, m);
-        ASSERT_TRUE(r.evaluation.feasible);
-        test::expect_valid_traversal(t, r.schedule, r.evaluation.io, m);
+        const core::FifResult ev = fif(t, r, m);
+        ASSERT_TRUE(ev.feasible);
+        test::expect_valid_traversal(t, r.schedule, ev.io, m);
       }
     }
   }
@@ -56,7 +62,7 @@ TEST(RecExpand, FullVariantFitsExpandedTreeInMemory) {
     const Weight m = t.min_feasible_memory() + 1;
     const RecExpandResult r = full_rec_expand(t, m);
     EXPECT_LE(r.final_peak, m);
-    EXPECT_LE(r.evaluation.io_volume, r.expansion_volume);
+    EXPECT_LE(fif(t, r, m).io_volume, r.expansion_volume);
   }
 }
 
@@ -66,8 +72,8 @@ TEST(RecExpand, RespectsLowerBounds) {
     const Tree t = test::small_random_tree(11, 10, rng);
     const Weight m = t.min_feasible_memory() + 1;
     const Weight bound = core::io_lower_bound_peak_gap(t, m);
-    EXPECT_GE(full_rec_expand(t, m).evaluation.io_volume, bound);
-    EXPECT_GE(rec_expand2(t, m).evaluation.io_volume, bound);
+    EXPECT_GE(fif(t, full_rec_expand(t, m), m).io_volume, bound);
+    EXPECT_GE(fif(t, rec_expand2(t, m), m).io_volume, bound);
   }
 }
 
@@ -80,8 +86,8 @@ TEST(RecExpand, NeverBelowBruteForceOptimum) {
     if (peak == lb) continue;
     const Weight m = (lb + peak) / 2;
     const Weight opt = core::brute_force_min_io(t, m).objective;
-    EXPECT_GE(full_rec_expand(t, m).evaluation.io_volume, opt);
-    EXPECT_GE(rec_expand2(t, m).evaluation.io_volume, opt);
+    EXPECT_GE(fif(t, full_rec_expand(t, m), m).io_volume, opt);
+    EXPECT_GE(fif(t, rec_expand2(t, m), m).io_volume, opt);
   }
 }
 
@@ -99,7 +105,7 @@ TEST(RecExpand, OftenMatchesOptimumOnSmallTrees) {
     const Weight m = (lb + peak) / 2;
     const Weight opt = core::brute_force_min_io(t, m).objective;
     ++total;
-    optimal += (full_rec_expand(t, m).evaluation.io_volume == opt) ? 1 : 0;
+    optimal += (fif(t, full_rec_expand(t, m), m).io_volume == opt) ? 1 : 0;
   }
   ASSERT_GT(total, 10);
   EXPECT_GE(optimal * 4, total * 3) << optimal << "/" << total << " optimal";
@@ -109,7 +115,7 @@ TEST(RecExpand, Fig6FullRecExpandIsOptimal) {
   const auto inst = treegen::fig6();
   const Weight opt = core::brute_force_min_io(inst.tree, inst.memory).objective;
   EXPECT_EQ(opt, 3);
-  EXPECT_EQ(full_rec_expand(inst.tree, inst.memory).evaluation.io_volume, 3);
+  EXPECT_EQ(fif(inst.tree, full_rec_expand(inst.tree, inst.memory), inst.memory).io_volume, 3);
 }
 
 TEST(RecExpand, Fig7FullRecExpandIsSuboptimal) {
@@ -117,7 +123,7 @@ TEST(RecExpand, Fig7FullRecExpandIsSuboptimal) {
   // optimal 3 because OptMinMem never schedules the tree the postorder way.
   const auto inst = treegen::fig7();
   EXPECT_EQ(core::brute_force_min_io(inst.tree, inst.memory).objective, 3);
-  EXPECT_EQ(full_rec_expand(inst.tree, inst.memory).evaluation.io_volume, 4);
+  EXPECT_EQ(fif(inst.tree, full_rec_expand(inst.tree, inst.memory), inst.memory).io_volume, 4);
 }
 
 TEST(RecExpand, CapLimitsWork) {
@@ -129,8 +135,9 @@ TEST(RecExpand, CapLimitsWork) {
   opts.global_expansion_cap = 3;
   const RecExpandResult r = core::rec_expand(t, m, opts);
   EXPECT_LE(r.expansions, 3u);
-  ASSERT_TRUE(r.evaluation.feasible);
-  test::expect_valid_traversal(t, r.schedule, r.evaluation.io, m);
+  const core::FifResult ev = fif(t, r, m);
+  ASSERT_TRUE(ev.feasible);
+  test::expect_valid_traversal(t, r.schedule, ev.io, m);
 }
 
 TEST(RecExpand, TwoIterationVariantCloseToFull) {
@@ -144,8 +151,8 @@ TEST(RecExpand, TwoIterationVariantCloseToFull) {
     const Weight peak = core::opt_minmem(t).peak;
     if (peak <= lb) continue;
     const Weight m = (lb + peak) / 2;
-    const Weight io_full = full_rec_expand(t, m).evaluation.io_volume;
-    const Weight io_two = rec_expand2(t, m).evaluation.io_volume;
+    const Weight io_full = fif(t, full_rec_expand(t, m), m).io_volume;
+    const Weight io_two = fif(t, rec_expand2(t, m), m).io_volume;
     EXPECT_LE(io_two * 2, (io_full + m) * 3) << "RecExpand wildly off FullRecExpand";
   }
 }

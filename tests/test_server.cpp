@@ -439,7 +439,8 @@ TEST(RecExpandSharedPeaks, OverloadMatchesSelfComputedPeaks) {
     const core::RecExpandResult direct = core::rec_expand(tree, memory, options);
     const core::RecExpandResult shared = core::rec_expand(tree, memory, options, peaks);
     EXPECT_EQ(direct.schedule, shared.schedule);
-    EXPECT_EQ(direct.evaluation.io_volume, shared.evaluation.io_volume);
+    EXPECT_EQ(core::simulate_fif(tree, direct.schedule, memory).io_volume,
+              core::simulate_fif(tree, shared.schedule, memory).io_volume);
     EXPECT_EQ(direct.expansion_volume, shared.expansion_volume);
     EXPECT_EQ(direct.expansions, shared.expansions);
     EXPECT_EQ(direct.final_peak, shared.final_peak);

@@ -704,5 +704,82 @@ TEST(PlanService, SnapshotSourceMatchesParentsSource) {
   EXPECT_TRUE(service::identical(*via_parents.stats, *via_snapshot.stats));
 }
 
+// The canonical hash is computed once per request (once per fused group)
+// and handed down to the stats; every served kind must still report the
+// hash of the tree its request materializes.
+TEST(PlanService, TreeHashMatchesMaterializedTreeOnEveryServedKind) {
+  for (const core::MemoryModel model :
+       {core::MemoryModel::kMaxInOut, core::MemoryModel::kSumInOut}) {
+    PlanRequest request;
+    request.id = 1;
+    request.nodes = 200;
+    request.seed = 31;
+    request.memory_lb = 1.3;
+    request.model = model;
+    const std::uint64_t want =
+        service::materialize_tree(request, service::effective_seed(request, ServiceConfig{}.seed))
+            .canonical_hash();
+
+    PlanService planner(ServiceConfig{.threads = 1});
+    const PlanResponse computed = planner.plan(request);
+    ASSERT_TRUE(computed.stats->ok) << computed.stats->error;
+    EXPECT_EQ(computed.served, Served::kComputed);
+    EXPECT_EQ(computed.stats->tree_hash, want);
+    request.id = 2;  // explicit seed: the same tree, a fingerprint hit
+    const PlanResponse cached = planner.plan(request);
+    EXPECT_EQ(cached.served, Served::kCached);
+    EXPECT_EQ(cached.stats->tree_hash, want);
+
+    // Fused RecExpand/FullRecExpand members share one runner and one hash;
+    // each must equal an independent cache-free plan() bit for bit.
+    std::vector<PlanRequest> batch;
+    for (const core::Strategy strategy :
+         {core::Strategy::kRecExpand, core::Strategy::kFullRecExpand})
+      for (const double lb : {1.1, 2.0}) {
+        PlanRequest member = request;
+        member.id = static_cast<std::int64_t>(batch.size()) + 10;
+        member.strategy = strategy;
+        member.memory_lb = lb;
+        batch.push_back(member);
+      }
+    const std::vector<PlanResponse> fused = planner.plan_fused(batch);
+    PlanService independent(ServiceConfig{.threads = 1, .cache_capacity = 0, .coalesce = false});
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(fused[i].stats->ok) << fused[i].stats->error;
+      EXPECT_EQ(fused[i].served, Served::kFused);
+      EXPECT_EQ(fused[i].stats->tree_hash, want);
+      const PlanResponse alone = independent.plan(batch[i]);
+      EXPECT_TRUE(service::identical(*fused[i].stats, *alone.stats))
+          << core::strategy_name(batch[i].strategy) << " lb " << batch[i].memory_lb;
+    }
+  }
+}
+
+TEST(PlanService, TreeHashMatchesMaterializedTreeUnderConcurrentDuplicates) {
+  // Duplicates on four workers are served computed, coalesced or cached
+  // depending on timing; each must carry the materialized tree's hash.
+  PlanRequest request;
+  request.nodes = 3000;
+  request.seed = 57;
+  request.memory_lb = 1.1;
+  request.strategy = core::Strategy::kFullRecExpand;
+  const std::uint64_t want =
+      service::materialize_tree(request, request.seed).canonical_hash();
+  PlanService planner(ServiceConfig{.threads = 4});
+  std::vector<PlanRequest> batch;
+  for (int k = 0; k < 8; ++k) {
+    request.id = k + 1;
+    batch.push_back(request);
+  }
+  for (auto& future : planner.submit_batch(batch)) {
+    const PlanResponse response = future.get();
+    ASSERT_TRUE(response.stats->ok) << response.stats->error;
+    EXPECT_EQ(response.stats->tree_hash, want) << service::served_name(response.served);
+  }
+  const service::ServiceStats stats = planner.stats();
+  EXPECT_EQ(stats.computed, 1u);
+  EXPECT_EQ(stats.cached + stats.coalesced, 7u);
+}
+
 }  // namespace
 }  // namespace ooctree

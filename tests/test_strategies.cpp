@@ -2,6 +2,9 @@
 // orderings between strategies.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/core/fif_simulator.hpp"
 #include "src/core/lower_bounds.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/strategies.hpp"
@@ -74,6 +77,58 @@ TEST(Strategies, RecExpandNeverWorseThanOptMinMemOnAverage) {
   }
   EXPECT_LE(rec_total, opt_total) << "RecExpand must not lose in aggregate";
   EXPECT_GE(rec_wins, opt_wins);
+}
+
+/// The memory bounds the one-evaluation pins sweep: 1.1·LB and 2·LB.
+std::vector<Weight> pinned_bounds(const Tree& t) {
+  const Weight lb = t.min_feasible_memory();
+  return {lb + lb / 10, 2 * lb};
+}
+
+TEST(Strategies, EvaluationIsTheFifOfTheReturnedSchedule) {
+  // run_strategy evaluates once; that evaluation must be simulate_fif of
+  // the schedule it returns, field for field.
+  util::Rng rng(733);
+  for (const core::MemoryModel model :
+       {core::MemoryModel::kMaxInOut, core::MemoryModel::kSumInOut}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      const Tree t = test::small_random_tree(80, 40, rng).with_memory_model(model);
+      for (const Weight m : pinned_bounds(t)) {
+        for (const Strategy s : all_strategies()) {
+          const core::StrategyOutcome out = run_strategy(s, t, m);
+          const core::FifResult fif = core::simulate_fif(t, out.schedule, m);
+          EXPECT_EQ(out.strategy, s);
+          EXPECT_EQ(out.evaluation.feasible, fif.feasible) << core::strategy_name(s);
+          EXPECT_EQ(out.evaluation.io, fif.io) << core::strategy_name(s);
+          EXPECT_EQ(out.evaluation.io_volume, fif.io_volume) << core::strategy_name(s);
+          EXPECT_EQ(out.evaluation.peak_resident, fif.peak_resident) << core::strategy_name(s);
+          EXPECT_EQ(out.evaluation.evictions, fif.evictions) << core::strategy_name(s);
+        }
+      }
+    }
+  }
+}
+
+TEST(Strategies, SharedRunnerMatchesOneShotRuns) {
+  // One StrategyRunner serving every (strategy, bound) pair — in an order
+  // that fills its shared OptMinMem schedule and peaks early — must answer
+  // exactly what independent run_strategy calls answer.
+  util::Rng rng(739);
+  for (const core::MemoryModel model :
+       {core::MemoryModel::kMaxInOut, core::MemoryModel::kSumInOut}) {
+    const Tree t = test::small_random_tree(120, 40, rng).with_memory_model(model);
+    core::StrategyRunner runner(t);
+    for (const Weight m : pinned_bounds(t)) {
+      for (const Strategy s : all_strategies()) {
+        const core::StrategyOutcome shared = runner.run(s, m);
+        const core::StrategyOutcome alone = run_strategy(s, t, m);
+        EXPECT_EQ(shared.schedule, alone.schedule) << core::strategy_name(s);
+        EXPECT_EQ(shared.evaluation.io, alone.evaluation.io) << core::strategy_name(s);
+        EXPECT_EQ(shared.evaluation.peak_resident, alone.evaluation.peak_resident);
+        EXPECT_EQ(shared.evaluation.evictions, alone.evaluation.evictions);
+      }
+    }
+  }
 }
 
 TEST(Strategies, HomogeneousPostorderIsUnbeatable) {

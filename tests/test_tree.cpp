@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/core/tree.hpp"
 #include "src/core/tree_io.hpp"
@@ -113,6 +115,58 @@ TEST(Tree, RejectsCycle) {
 TEST(Tree, RejectsSelfParentAndBadIndex) {
   EXPECT_THROW(make_tree({{0, 1}}), std::invalid_argument);
   EXPECT_THROW(make_tree({{kNoNode, 1}, {7, 1}}), std::invalid_argument);
+}
+
+/// from_parents must throw std::invalid_argument carrying exactly `message`
+/// (unit weights; any other exception type fails the test).
+void expect_rejected(std::vector<NodeId> parent, const std::string& message) {
+  const std::size_t n = parent.size();
+  try {
+    (void)Tree::from_parents(std::move(parent), std::vector<Weight>(n, 1));
+    ADD_FAILURE() << "accepted a parent array that must fail with: " << message;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
+const std::string kCycle = "Tree: parent array contains a cycle or disconnected part";
+const std::string kBadParent = "Tree: invalid parent index";
+
+TEST(Tree, RejectionMessagesArePinned) {
+  expect_rejected({1, 0, kNoNode}, kCycle);               // 2-cycle beside a root
+  expect_rejected({kNoNode, 2, 3, 1, 0}, kCycle);         // 3-cycle beside a root
+  expect_rejected({1, 0, kNoNode, 0, 3}, kCycle);         // a branch hanging off a cycle
+  expect_rejected({kNoNode, 0, 1, 4, 3}, kCycle);         // valid chain plus a 2-cycle
+  expect_rejected({0}, kBadParent);                       // self-parent, alone
+  expect_rejected({kNoNode, 0, 2}, kBadParent);           // self-parent beside a root
+  expect_rejected({kNoNode, 0, kNoNode}, "Tree: multiple roots");
+  expect_rejected({1, 0}, "Tree: no root");               // a pure cycle has no root
+  expect_rejected({1, 2, 0}, "Tree: no root");
+  expect_rejected({kNoNode, 7}, kBadParent);              // past the end
+  expect_rejected({kNoNode, 2}, kBadParent);              // exactly n
+  expect_rejected({kNoNode, -2}, kBadParent);             // negative, not the sentinel
+}
+
+TEST(Tree, ValidationDoesNotRecurseOnHugeShapes) {
+  // A 10^6-node chain is accepted, and the same chain closed into a ring
+  // beside a root is rejected; a 10^5-leaf star is accepted.
+  const std::size_t n = 1000000;
+  std::vector<NodeId> chain(n, kNoNode);
+  for (std::size_t i = 1; i < n; ++i) chain[i] = static_cast<NodeId>(i - 1);
+  const Tree t = Tree::from_parents(chain, std::vector<Weight>(n, 1));
+  EXPECT_EQ(t.size(), n);
+  EXPECT_EQ(t.root(), 0);
+
+  std::vector<NodeId> ring(n + 1, kNoNode);  // node n is the root
+  for (std::size_t i = 0; i < n; ++i) ring[i] = static_cast<NodeId>((i + 1) % n);
+  expect_rejected(std::move(ring), kCycle);
+
+  const std::size_t leaves = 100000;
+  std::vector<NodeId> star(leaves + 1, 0);
+  star[0] = kNoNode;
+  const Tree s = Tree::from_parents(std::move(star), std::vector<Weight>(leaves + 1, 1));
+  EXPECT_EQ(s.num_children(s.root()), leaves);
+  EXPECT_EQ(s.child_weight_sum(s.root()), static_cast<Weight>(leaves));
 }
 
 TEST(Tree, RejectsNegativeWeight) {
